@@ -304,6 +304,9 @@ impl Circuit {
     }
 
     fn validate(&self, inst: &Instruction) -> Result<(), CircuitError> {
+        if let OpKind::Unitary { gate, .. } = inst.kind {
+            gate.validate()?;
+        }
         let qs = inst.qubits();
         for &q in &qs {
             if q >= self.num_qubits {
@@ -339,12 +342,13 @@ impl Circuit {
         Ok(())
     }
 
-    /// Appends an instruction after validating its qubit indices.
+    /// Appends an instruction after validating its qubit indices and gate
+    /// parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError`] if any index is out of range or a qubit is
-    /// repeated within the instruction.
+    /// Returns [`CircuitError`] if any index is out of range, a qubit is
+    /// repeated within the instruction, or a gate parameter is not finite.
     pub fn push(&mut self, inst: Instruction) -> Result<(), CircuitError> {
         self.validate(&inst)?;
         self.instructions.push(inst);
@@ -362,19 +366,39 @@ impl Circuit {
     }
 
     /// Appends a unitary gate with the given controls, panicking on invalid
-    /// indices (builder-style convenience).
+    /// indices or parameters (builder-style convenience; see
+    /// [`Circuit::try_gate`] for the checked form).
     ///
     /// # Panics
     ///
-    /// Panics if any qubit index is out of range or repeated.
+    /// Panics if any qubit index is out of range or repeated, or a gate
+    /// parameter is not finite.
     pub fn gate(&mut self, gate: Gate, target: usize, controls: &[usize]) -> &mut Self {
-        let inst = Instruction::new(OpKind::Unitary {
+        if let Err(e) = self.try_gate(gate, target, controls) {
+            panic!("invalid gate qubits or parameters: {e}");
+        }
+        self
+    }
+
+    /// Appends a unitary gate with the given controls.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError`] if any qubit index is out of range or
+    /// repeated, or a gate parameter is not finite; the circuit is then
+    /// unchanged.
+    pub fn try_gate(
+        &mut self,
+        gate: Gate,
+        target: usize,
+        controls: &[usize],
+    ) -> Result<&mut Self, CircuitError> {
+        self.push(Instruction::new(OpKind::Unitary {
             gate,
             target,
             controls: controls.to_vec(),
-        });
-        self.push(inst).expect("invalid gate qubits");
-        self
+        }))?;
+        Ok(self)
     }
 
     /// Appends all instructions of `other`.

@@ -4,6 +4,8 @@ use std::fmt;
 
 use qdt_complex::{Complex, Matrix};
 
+use crate::CircuitError;
+
 /// A single-qubit gate, optionally parameterised by rotation angles.
 ///
 /// Multi-qubit gates are represented in the IR as a single-qubit [`Gate`]
@@ -175,6 +177,27 @@ impl Gate {
             Gate::Rz(_) => "rz",
             Gate::Phase(_) => "p",
             Gate::U(..) => "u",
+        }
+    }
+
+    /// Returns the gate if all of its rotation parameters are finite —
+    /// the checked way to build a parameterised gate from untrusted
+    /// angles.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::NonFiniteParameter`] if a parameter is
+    /// infinite or NaN.
+    pub fn validate(self) -> Result<Gate, CircuitError> {
+        let finite = match self {
+            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Phase(t) => t.is_finite(),
+            Gate::U(a, b, c) => a.is_finite() && b.is_finite() && c.is_finite(),
+            _ => true,
+        };
+        if finite {
+            Ok(self)
+        } else {
+            Err(CircuitError::NonFiniteParameter { gate: self.name() })
         }
     }
 

@@ -67,6 +67,11 @@ pub enum CircuitError {
         /// Name of the non-invertible operation.
         op: String,
     },
+    /// A gate parameter was infinite or NaN; no backend can simulate it.
+    NonFiniteParameter {
+        /// Name of the gate (see [`Gate::name`]).
+        gate: &'static str,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -92,6 +97,9 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::NotInvertible { op } => {
                 write!(f, "operation {op} has no unitary inverse")
+            }
+            CircuitError::NonFiniteParameter { gate } => {
+                write!(f, "gate {gate} has a non-finite parameter")
             }
         }
     }

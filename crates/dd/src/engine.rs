@@ -10,13 +10,11 @@ use qdt_engine::{
 };
 use rand::RngCore;
 
-use crate::{DdError, DdPackage, DdStats, VectorDd};
+use crate::package::VEdge;
+use crate::{DdError, DdPackage, DdStats, VectorDd, MAX_QUBITS};
 
 /// Dense-expansion cap of [`DdPackage::to_amplitudes`].
 const DENSE_LIMIT: usize = 24;
-
-/// Widest register the package's `u128` basis indexing supports.
-const MAX_QUBITS: usize = 128;
 
 /// The decision-diagram backend (paper Section III) as a pluggable
 /// [`SimulationEngine`]: exact, with node sharing that keeps structured
@@ -101,31 +99,34 @@ impl DdMetrics {
 impl DdEngine {
     /// A fresh engine with the package's default complex-table tolerance.
     pub fn new() -> Self {
-        let mut dd = DdPackage::new();
-        let v = dd.zero_state(1);
+        Self::build(None)
+    }
+
+    /// A fresh engine whose complex table merges weights within `tol`
+    /// (the ablation knob of DESIGN.md §6).
+    pub fn with_tolerance(tol: f64) -> Self {
+        Self::build(Some(tol))
+    }
+
+    /// An engine holding the 0-qubit state (the terminal with weight 1)
+    /// in a package that has built no node yet, so the first `prepare`
+    /// can use that package instead of building another.
+    fn build(tolerance: Option<f64>) -> Self {
         DdEngine {
-            tolerance: None,
-            dd,
-            v,
+            tolerance,
+            dd: Self::package(tolerance),
+            v: VectorDd {
+                root: VEdge::terminal(Complex::ONE),
+                num_qubits: 0,
+            },
             saved: None,
             metrics: None,
             last: DdStats::default(),
         }
     }
 
-    /// A fresh engine whose complex table merges weights within `tol`
-    /// (the ablation knob of DESIGN.md §6).
-    pub fn with_tolerance(tol: f64) -> Self {
-        let mut dd = DdPackage::with_tolerance(tol);
-        let v = dd.zero_state(1);
-        DdEngine {
-            tolerance: Some(tol),
-            dd,
-            v,
-            saved: None,
-            metrics: None,
-            last: DdStats::default(),
-        }
+    fn package(tolerance: Option<f64>) -> DdPackage {
+        tolerance.map_or_else(DdPackage::new, DdPackage::with_tolerance)
     }
 
     /// The number of distinct nodes in the current state's diagram.
@@ -232,11 +233,11 @@ impl SimulationEngine for DdEngine {
             });
         }
         // A fresh package drops the previous run's unique/compute tables
-        // so successive prepares do not leak arena memory.
-        self.dd = match self.tolerance {
-            Some(tol) => DdPackage::with_tolerance(tol),
-            None => DdPackage::new(),
-        };
+        // so successive prepares do not leak arena memory. A package
+        // that has built no node has no tables to drop.
+        if self.dd.vector_arena_size() + self.dd.matrix_arena_size() > 0 {
+            self.dd = Self::package(self.tolerance);
+        }
         self.v = self.dd.zero_state(num_qubits.max(1));
         // The saved root (if any) points into the dropped package.
         self.saved = None;

@@ -239,6 +239,17 @@ mod tests {
     }
 
     #[test]
+    fn registers_past_the_package_limit_are_an_error() {
+        let mut dd = DdPackage::new();
+        let mut a = Circuit::new(crate::MAX_QUBITS + 2);
+        a.h(0).cx(0, crate::MAX_QUBITS + 1);
+        assert!(matches!(
+            check_equivalence(&mut dd, &a, &a),
+            Err(DdError::TooWide { num_qubits: 130 })
+        ));
+    }
+
+    #[test]
     fn measurement_rejected() {
         let mut dd = DdPackage::new();
         let mut a = Circuit::with_clbits(1, 1);

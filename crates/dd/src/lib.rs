@@ -53,7 +53,7 @@ pub use approx::ApproxResult;
 pub use engine::DdEngine;
 pub use equivalence::{check_equivalence, EquivalenceResult};
 pub use noise::{DdNoiseChannel, DdNoiseModel};
-pub use package::{DdMemory, DdPackage, DdStats, MatrixDd, VectorDd};
+pub use package::{DdMemory, DdPackage, DdStats, MatrixDd, VectorDd, MAX_QUBITS};
 pub use simulate::DdSimulator;
 
 use std::fmt;
@@ -74,6 +74,12 @@ pub enum DdError {
         /// Qubit count of the right operand.
         right: usize,
     },
+    /// The register is wider than the package addresses
+    /// ([`MAX_QUBITS`]).
+    TooWide {
+        /// The requested register width.
+        num_qubits: usize,
+    },
 }
 
 impl fmt::Display for DdError {
@@ -84,6 +90,12 @@ impl fmt::Display for DdError {
             }
             DdError::QubitCountMismatch { left, right } => {
                 write!(f, "qubit count mismatch: {left} vs {right}")
+            }
+            DdError::TooWide { num_qubits } => {
+                write!(
+                    f,
+                    "{num_qubits} qubits exceed the decision-diagram limit of {MAX_QUBITS}"
+                )
             }
         }
     }

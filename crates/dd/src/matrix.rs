@@ -1,12 +1,12 @@
 //! Matrix decision diagrams: gate construction, application and the
 //! identity check used for equivalence checking.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use qdt_circuit::{Circuit, Gate, Instruction, OpKind};
 use qdt_complex::{Complex, Matrix};
 
-use crate::package::{DdPackage, MEdge, NodeId, TERMINAL};
+use crate::package::{DdPackage, MEdge, NodeId, MAX_QUBITS, TERMINAL};
 use crate::{DdError, MatrixDd, VectorDd};
 
 impl DdPackage {
@@ -20,7 +20,8 @@ impl DdPackage {
     ///
     /// # Panics
     ///
-    /// Panics if `gate` is not 2×2 or indices are out of range/duplicated.
+    /// Panics if `gate` is not 2×2, `num_qubits` exceeds [`MAX_QUBITS`],
+    /// or indices are out of range/duplicated.
     pub fn gate_dd(
         &mut self,
         gate: &Matrix,
@@ -29,13 +30,19 @@ impl DdPackage {
         controls: &[usize],
     ) -> MatrixDd {
         assert_eq!((gate.rows(), gate.cols()), (2, 2), "gate must be 2x2");
+        assert!(
+            num_qubits <= MAX_QUBITS,
+            "gate_dd addresses at most {MAX_QUBITS} qubits"
+        );
         assert!(target < num_qubits, "target out of range");
-        let control_set: HashSet<usize> = controls.iter().copied().collect();
-        assert_eq!(control_set.len(), controls.len(), "duplicate controls");
-        assert!(!control_set.contains(&target), "control equals target");
+        let mut control_mask = 0u128;
         for &c in controls {
             assert!(c < num_qubits, "control out of range");
+            assert_eq!(control_mask >> c & 1, 0, "duplicate controls");
+            control_mask |= 1 << c;
         }
+        assert_eq!(control_mask >> target & 1, 0, "control equals target");
+        let is_control = |z: usize| control_mask >> z & 1 == 1;
         // Memo hit: the same gate on the same wires rebuilds to the
         // same canonical root, so skip the construction entirely (the
         // per-shot path of dynamic circuits re-applies a handful of
@@ -49,7 +56,7 @@ impl DdPackage {
             ],
             num_qubits,
             target,
-            controls.to_vec(),
+            control_mask,
         );
         if let Some(&root) = self.gate_cache.get(&key) {
             return MatrixDd { root, num_qubits };
@@ -64,7 +71,7 @@ impl DdPackage {
         ];
         // Below the target: grow each entry separately.
         for z in 0..target {
-            if control_set.contains(&z) {
+            if is_control(z) {
                 let ident_below = self.identity_edge(z as isize - 1);
                 for (idx, e) in em.iter_mut().enumerate() {
                     let row = idx / 2;
@@ -82,7 +89,7 @@ impl DdPackage {
         let mut e = self.make_mnode(target as u16, em);
         // Above the target: controls gate the whole operator.
         for z in target + 1..num_qubits {
-            if control_set.contains(&z) {
+            if is_control(z) {
                 let ident_below = self.identity_edge(z as isize - 1);
                 e = self.make_mnode(z as u16, [ident_below, MEdge::ZERO, MEdge::ZERO, e]);
             } else {
@@ -103,12 +110,16 @@ impl DdPackage {
     ///
     /// Returns [`DdError::NonUnitary`] for measurement, reset, and
     /// classically conditioned instructions (a matrix DD has no classical
-    /// register to consult).
+    /// register to consult), and [`DdError::TooWide`] for registers wider
+    /// than [`MAX_QUBITS`].
     pub fn instruction_dd(
         &mut self,
         inst: &Instruction,
         num_qubits: usize,
     ) -> Result<MatrixDd, DdError> {
+        if num_qubits > MAX_QUBITS {
+            return Err(DdError::TooWide { num_qubits });
+        }
         if inst.cond.is_some() {
             return Err(DdError::NonUnitary {
                 op: format!("conditioned {}", inst.name()),
@@ -262,17 +273,9 @@ impl DdPackage {
 
     /// The number of distinct nodes reachable from the matrix root.
     pub fn matrix_node_count(&self, m: &MatrixDd) -> usize {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut stack = vec![m.root.node];
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            for c in self.mnode(id).children {
-                stack.push(c.node);
-            }
-        }
-        seen.len()
+        self.count_reachable(m.root.node, self.mnodes.len(), |id, stack| {
+            stack.extend(self.mnode(id).children.map(|c| c.node));
+        })
     }
 
     /// A single matrix entry `⟨row|U|col⟩`, reconstructed by walking the

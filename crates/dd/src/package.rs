@@ -9,7 +9,13 @@
 //! same node, which is what makes sharing (and therefore compactness)
 //! work.
 
+use std::cell::RefCell;
+
 use qdt_complex::{Complex, ComplexTable, FastMap};
+
+/// Widest register the package addresses: basis indices and the gate
+/// memo's control masks are `u128`.
+pub const MAX_QUBITS: usize = 128;
 
 pub(crate) type NodeId = u32;
 /// Sentinel node id for the terminal.
@@ -97,8 +103,9 @@ pub(crate) struct MNode {
 type VKey = (u16, [(NodeId, (u64, u64)); 2]);
 type MKey = (u16, [(NodeId, (u64, u64)); 4]);
 /// Memo key of a constructed gate diagram: the four 2×2 entry bit
-/// patterns, the register width, the target and the control set.
-pub(crate) type GateKey = ([(u64, u64); 4], usize, usize, Vec<usize>);
+/// patterns, the register width, the target and the control set as a
+/// bit mask (at most [`MAX_QUBITS`] wires).
+pub(crate) type GateKey = ([(u64, u64); 4], usize, usize, u128);
 
 /// A handle to a vector decision diagram rooted in a [`DdPackage`].
 ///
@@ -167,7 +174,7 @@ pub struct DdMemory {
     pub arena: usize,
     /// Unique tables (canonical node keys → arena ids).
     pub unique_tables: usize,
-    /// Canonical complex-number table.
+    /// Canonical complex-number table, including its exact-value index.
     pub complex_table: usize,
     /// Compute caches (add, mat–vec, mat–mat, gate memo, norms).
     pub compute_tables: usize,
@@ -205,6 +212,21 @@ pub struct DdPackage {
     nsq_cache: FastMap<NodeId, f64>,
     /// Table/cache activity counters (see [`DdStats`]).
     stats: DdStats,
+    /// Scratch for the node counts, which take `&self` (see
+    /// [`NodeMarks`]).
+    marks: RefCell<NodeMarks>,
+}
+
+/// Epoch-stamped visit marks for counting reachable nodes without
+/// allocating: a node is visited in the current count iff its mark
+/// equals `epoch`, and starting a count is one increment. The mark
+/// vector grows with the arena and the stack keeps its capacity, so a
+/// count that the run loop polls after every gate reuses both.
+#[derive(Debug, Clone, Default)]
+struct NodeMarks {
+    epoch: u32,
+    marks: Vec<u32>,
+    stack: Vec<NodeId>,
 }
 
 impl DdPackage {
@@ -239,6 +261,7 @@ impl DdPackage {
             ident: Vec::new(),
             nsq_cache: FastMap::default(),
             stats: DdStats::default(),
+            marks: RefCell::default(),
         }
     }
 
@@ -262,7 +285,7 @@ impl DdPackage {
         let arena = self.vnodes.len() * size_of::<VNode>() + self.mnodes.len() * size_of::<MNode>();
         let unique_tables = self.vunique.len() * size_of::<(VKey, NodeId)>()
             + self.munique.len() * size_of::<(MKey, NodeId)>();
-        let complex_table = self.ctable.len() * size_of::<Complex>();
+        let complex_table = self.ctable.memory_bytes();
         let compute_tables = self.vadd_cache.len()
             * size_of::<((NodeId, NodeId, (u64, u64)), VEdge)>()
             + self.madd_cache.len() * size_of::<((NodeId, NodeId, (u64, u64)), MEdge)>()
@@ -317,6 +340,48 @@ impl DdPackage {
 
     pub(crate) fn mnode(&self, id: NodeId) -> &MNode {
         &self.mnodes[id as usize]
+    }
+
+    /// The number of distinct non-terminal nodes reachable from `root`
+    /// in an arena of `arena_len` nodes; `children` pushes a node's
+    /// child ids onto the stack.
+    pub(crate) fn count_reachable(
+        &self,
+        root: NodeId,
+        arena_len: usize,
+        children: impl Fn(NodeId, &mut Vec<NodeId>),
+    ) -> usize {
+        let mut guard = self.marks.borrow_mut();
+        let NodeMarks {
+            epoch,
+            marks,
+            stack,
+        } = &mut *guard;
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            // Wrapped: marks from 2^32 counts ago would read as visited.
+            marks.fill(0);
+            *epoch = 1;
+        }
+        if marks.len() < arena_len {
+            marks.resize(arena_len, 0);
+        }
+        let mut count = 0;
+        stack.clear();
+        stack.push(root);
+        while let Some(id) = stack.pop() {
+            if id == TERMINAL {
+                continue;
+            }
+            let mark = &mut marks[id as usize];
+            if *mark == *epoch {
+                continue;
+            }
+            *mark = *epoch;
+            count += 1;
+            children(id, stack);
+        }
+        count
     }
 
     /// Scales an edge weight, canonicalising and collapsing to the zero

@@ -1,9 +1,7 @@
 //! Vector decision diagrams: state construction, amplitude
 //! reconstruction, measurement and statistics.
 
-use std::collections::HashSet;
-
-use qdt_complex::Complex;
+use qdt_complex::{Complex, FastMap};
 use rand::Rng;
 
 use crate::package::{DdPackage, NodeId, VEdge, TERMINAL};
@@ -23,9 +21,13 @@ impl DdPackage {
     ///
     /// # Panics
     ///
-    /// Panics if `num_qubits > 128` or the index uses bits `≥ num_qubits`.
+    /// Panics if `num_qubits` exceeds [`MAX_QUBITS`](crate::MAX_QUBITS)
+    /// or the index uses bits `≥ num_qubits`.
     pub fn basis_state(&mut self, num_qubits: usize, index: u128) -> VectorDd {
-        assert!(num_qubits <= 128, "basis_state index limited to 128 bits");
+        assert!(
+            num_qubits <= crate::MAX_QUBITS,
+            "basis_state index limited to 128 bits"
+        );
         if num_qubits < 128 {
             assert!(index < (1u128 << num_qubits), "basis index out of range");
         }
@@ -133,17 +135,9 @@ impl DdPackage {
     /// The number of distinct nodes reachable from the root (the paper's
     /// DD size metric; terminals excluded).
     pub fn vector_node_count(&self, v: &VectorDd) -> usize {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut stack = vec![v.root.node];
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            for c in self.vnode(id).children {
-                stack.push(c.node);
-            }
-        }
-        seen.len()
+        self.count_reachable(v.root.node, self.vnodes.len(), |id, stack| {
+            stack.extend(self.vnode(id).children.map(|c| c.node));
+        })
     }
 
     /// The squared 2-norm of the represented state.
@@ -291,21 +285,30 @@ impl DdPackage {
     /// # Panics
     ///
     /// Panics if the qubit counts differ.
-    pub fn fidelity(&mut self, a: &VectorDd, b: &VectorDd) -> f64 {
+    pub fn fidelity(&self, a: &VectorDd, b: &VectorDd) -> f64 {
         self.inner_product(a, b).norm_sqr()
     }
 
     /// The inner product `⟨a|b⟩`.
     ///
+    /// Costs `O(|a|·|b|)`: the sum over a node pair's sub-diagrams is
+    /// memoised, with the incoming edge weights factored out, so shared
+    /// sub-diagrams are visited once rather than once per path.
+    ///
     /// # Panics
     ///
     /// Panics if the qubit counts differ.
-    pub fn inner_product(&mut self, a: &VectorDd, b: &VectorDd) -> Complex {
+    pub fn inner_product(&self, a: &VectorDd, b: &VectorDd) -> Complex {
         assert_eq!(a.num_qubits, b.num_qubits, "qubit count mismatch");
-        self.inner_rec(a.root, b.root)
+        self.inner_rec(a.root, b.root, &mut FastMap::default())
     }
 
-    fn inner_rec(&mut self, a: VEdge, b: VEdge) -> Complex {
+    fn inner_rec(
+        &self,
+        a: VEdge,
+        b: VEdge,
+        memo: &mut FastMap<(NodeId, NodeId), Complex>,
+    ) -> Complex {
         if a.is_zero() || b.is_zero() {
             return Complex::ZERO;
         }
@@ -313,12 +316,17 @@ impl DdPackage {
             return a.weight.conj() * b.weight;
         }
         debug_assert!(a.node != TERMINAL && b.node != TERMINAL, "level skew");
-        let an = self.vnode(a.node).clone();
-        let bn = self.vnode(b.node).clone();
-        let mut acc = Complex::ZERO;
-        for i in 0..2 {
-            acc += self.inner_rec(an.children[i], bn.children[i]);
-        }
+        let acc = if let Some(&acc) = memo.get(&(a.node, b.node)) {
+            acc
+        } else {
+            let (an, bn) = (self.vnode(a.node), self.vnode(b.node));
+            let mut acc = Complex::ZERO;
+            for i in 0..2 {
+                acc += self.inner_rec(an.children[i], bn.children[i], memo);
+            }
+            memo.insert((a.node, b.node), acc);
+            acc
+        };
         a.weight.conj() * b.weight * acc
     }
 }
@@ -459,6 +467,42 @@ mod tests {
         let b = p.basis_state(3, 0b011);
         assert!(p.inner_product(&a, &b).abs() < 1e-12);
         assert!((p.fidelity(&a, &a) - 1.0).abs() < 1e-12);
+    }
+
+    /// The inner product as it was before the memo: a walk over every
+    /// pair of paths, `2^n` steps on product states.
+    fn inner_by_paths(p: &DdPackage, a: VEdge, b: VEdge) -> Complex {
+        if a.is_zero() || b.is_zero() {
+            return Complex::ZERO;
+        }
+        if a.node == TERMINAL && b.node == TERMINAL {
+            return a.weight.conj() * b.weight;
+        }
+        let (an, bn) = (p.vnode(a.node), p.vnode(b.node));
+        let mut acc = Complex::ZERO;
+        for i in 0..2 {
+            acc += inner_by_paths(p, an.children[i], bn.children[i]);
+        }
+        a.weight.conj() * b.weight * acc
+    }
+
+    #[test]
+    fn memoised_inner_product_is_bit_identical_to_the_path_walk() {
+        let mut rng = StdRng::seed_from_u64(0x1e);
+        for _ in 0..24 {
+            let n = rng.gen_range(1..=7usize);
+            let a = qdt_circuit::generators::random_clifford_t(n, 10, 0.3, &mut rng);
+            let b = qdt_circuit::generators::random_circuit(n, 3, &mut rng);
+            let mut p = DdPackage::new();
+            let va = p.run_circuit(&a).unwrap();
+            let vb = p.run_circuit(&b).unwrap();
+            for (x, y) in [(va, vb), (vb, va), (va, va)] {
+                assert_eq!(
+                    p.inner_product(&x, &y).to_bits(),
+                    inner_by_paths(&p, x.root, y.root).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

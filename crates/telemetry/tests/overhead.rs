@@ -2,24 +2,38 @@
 //! heap allocations on every recording path — and the id-keyed enabled
 //! path must not allocate either once names are registered.
 //!
-//! The counting allocator wraps the system allocator; `GlobalAlloc` is
+//! The counting allocator wraps the system allocator and counts per
+//! thread: the test harness runs these tests on concurrent threads, and
+//! a process-wide count would charge each test with the other's
+//! allocations. The counter is a `const`-initialised thread-local `Cell`,
+//! which needs no lazy initialisation and no destructor, so reading and
+//! bumping it never allocates. `GlobalAlloc` is
 //! an unsafe trait, so this file opts back into `unsafe` locally (the
 //! workspace lints warn on it).
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use qdt_telemetry::{profile_frame, MemoryGauge, MetricsRegistry, TelemetrySink};
 
 /// System allocator shim that counts allocations.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are torn down,
+    // after the tests have stopped counting.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -36,8 +50,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

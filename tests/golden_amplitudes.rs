@@ -16,14 +16,16 @@ use qdt::EngineRegistry;
 const TOL: f64 = 1e-12;
 
 /// Engine specs every fixture is checked on: sequential reference,
-/// parallel kernels with the chunked path forced (`threshold=1`), and
-/// the gate-fused kernels — sequential and parallel.
-const SPECS: [&str; 5] = [
+/// parallel kernels with the chunked path forced (`threshold=1`), the
+/// gate-fused kernels — sequential and parallel — and the decision
+/// diagram, whose complex table canonicalises weights within 1e-12.
+const SPECS: [&str; 6] = [
     "array(threads=1)",
     "array(threads=2,threshold=1)",
     "array(threads=4,threshold=1)",
     "array(fuse=5)",
     "array(fuse=5,threads=4,threshold=1)",
+    "decision-diagram",
 ];
 
 /// Runs `qc` on `spec` and checks every amplitude against `want`.
